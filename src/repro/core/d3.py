@@ -441,12 +441,13 @@ class D3System:
             fields and sheds requests whose SLO is already unreachable at
             arrival.
         stream_stats:
-            Serve at benchmark scale: aggregates stream into online
-            accumulators instead of materializing per-request records and
-            timelines, so memory stays O(nodes) rather than O(requests).
-            The report's summary numbers are identical below the exact-
-            percentile threshold and reservoir-estimated above it; its
-            ``records``/``timeline`` views are empty.
+            Serve at benchmark scale: the per-request record log (records,
+            timelines, batch records) is not kept, so the engine's memory
+            stays O(in-flight requests) rather than O(requests).  Aggregates
+            come from the same online accumulators either way, so the
+            report's summary numbers are identical below the exact-percentile
+            threshold and reservoir-estimated above it; its ``records`` and
+            ``batches`` are empty.
         elasticity:
             Optional capacity scenario: an
             :class:`~repro.runtime.elasticity.ElasticitySchedule` of
@@ -546,9 +547,7 @@ class D3System:
         try:
             if memory_model is not None:
                 self._validate_memory(workload, memory_model)
-            requests, ideal_by_id = self._plan_workload(
-                workload, strategy, schedule, trace, elastic
-            )
+            requests = self._plan_workload(workload, strategy, schedule, trace, elastic)
 
             simulator = ServingSimulator(
                 self.cluster,
@@ -582,13 +581,6 @@ class D3System:
             self._calibration = None
             self._forecaster = None
             self._adaptation = None
-        for record in records:
-            if record.completed and record.retries == 0:
-                # Queueing delay compares a clean run against its own idle
-                # baseline; retried/failed requests are measured by the
-                # availability metrics instead.
-                record.ideal_latency_s = ideal_by_id.get(record.request_id)
-
         report = simulator.build_report(workload.name, records)
         report.method = strategy.name
         after = self.plan_cache.stats()
@@ -625,7 +617,7 @@ class D3System:
         strategy = self._strategy_for(method)
         self._memory = resolve_memory(memory)
         try:
-            requests, _ = self._plan_workload(workload, strategy, None, trace)
+            requests = self._plan_workload(workload, strategy, None, trace)
         finally:
             self._memory = None
         return requests
@@ -637,10 +629,9 @@ class D3System:
         schedule: Optional[FaultSchedule],
         trace: Optional[BandwidthTrace],
         elastic: Optional[ElasticitySchedule] = None,
-    ) -> Tuple[List[ServingRequest], Dict[str, float]]:
-        """Price one request stream: ``(serving requests, ideal latency by id)``."""
+    ) -> List[ServingRequest]:
+        """Price one request stream into simulator-ready requests."""
         requests: List[ServingRequest] = []
-        ideal_by_id: Dict[str, float] = {}
         topology = self.cluster.topology
         sample_topology = trace is None and topology.has_traced_links
         primary_device = self.cluster.device.name
@@ -721,8 +712,7 @@ class D3System:
                     ideal_latency_s=entry.ideal_latency_s,
                 )
             )
-            ideal_by_id[request.request_id] = entry.ideal_latency_s
-        return requests, ideal_by_id
+        return requests
 
     def _observe_trace(
         self, trace: BandwidthTrace, arrival_s: float

@@ -1,12 +1,14 @@
-"""Streaming (online) statistics for million-request serving runs.
+"""Streaming (online) statistics behind every serving report.
 
-The default :class:`~repro.runtime.serving.ServingReport` keeps one
-:class:`~repro.runtime.serving.RequestRecord` per request and computes every
-aggregate by scanning the record list.  That is the right trade at golden-trace
-scale (tens of requests, full timelines pinned bit-exactly) and the wrong one
-at benchmark scale: a million records with per-event timelines cost gigabytes
-and O(n log n) percentile sorts.  This module provides the streaming
-counterpart the engine accumulates into when ``stream_stats`` is enabled:
+The serving engine accounts each request into a :class:`ServingStats` the
+moment it reaches a terminal state, and every aggregate of a
+:class:`~repro.runtime.serving.ServingReport` reads those accumulators.  The
+per-request :class:`~repro.runtime.serving.RequestRecord` list is only a log:
+kept by default (golden-trace scale, full timelines pinned bit-exactly) and
+dropped under ``stream_stats``, where a million records with per-event
+timelines would cost gigabytes.  The record-keeping engine keeps every
+latency sample (unbounded exact threshold); ``stream_stats`` bounds the
+percentile estimators to a reservoir past :data:`DEFAULT_EXACT_THRESHOLD`.
 
 :class:`OnlineStats`
     Exact running count / sum / min / max / mean (one float add per sample —
@@ -15,13 +17,13 @@ counterpart the engine accumulates into when ``stream_stats`` is enabled:
 
 :class:`StreamingPercentiles`
     Percentile estimator that is *exact below a threshold* (it keeps the raw
-    sample list, so small runs — including every golden workload — report
-    bit-identical percentiles to the record-scanning path) and degrades to a
-    seeded reservoir sample beyond it (Vitter's Algorithm R with a fixed
-    ``random.Random`` seed, so large runs stay deterministic too).
+    sample list, so its percentiles are bit-identical to sorting the full
+    sample) and degrades to a seeded reservoir sample beyond it (Vitter's
+    Algorithm R with a fixed ``random.Random`` seed, so large runs stay
+    deterministic too).
 
 :class:`ServingStats`
-    The full online mirror of a serving report's aggregates: terminal-status
+    Every aggregate a serving report reports: terminal-status
     counts, SLO attainment, latency mean/percentiles (overall, per priority
     class, and over retried requests), queueing delay, backbone bytes and the
     makespan window.
@@ -85,7 +87,7 @@ class StreamingPercentiles:
 
     def __init__(
         self,
-        exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+        exact_threshold: float = DEFAULT_EXACT_THRESHOLD,
         reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
         seed: int = 0,
     ) -> None:
@@ -147,11 +149,11 @@ class StreamingPercentiles:
 
 
 class ServingStats:
-    """Online mirror of a :class:`ServingReport`'s aggregates.
+    """The aggregates of a :class:`ServingReport`, accumulated online.
 
     Fed one terminal request at a time by the serving engine (in completion
-    order); the report's properties read these counters instead of scanning
-    records when the engine ran with ``stream_stats``.
+    order); the report's properties read these counters.  ``exact_threshold``
+    bounds every percentile estimator (``math.inf`` keeps every sample).
     """
 
     __slots__ = (
@@ -173,7 +175,7 @@ class ServingStats:
         "_exact_threshold",
     )
 
-    def __init__(self, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> None:
+    def __init__(self, exact_threshold: float = DEFAULT_EXACT_THRESHOLD) -> None:
         self.num_requests = 0
         self.num_completed = 0
         self.num_failed = 0

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -293,44 +294,35 @@ class ServingReport:
     radio_energy_j: float = 0.0
     idle_energy_j: float = 0.0
     total_cost_usd: float = 0.0
-    #: Online accumulators filled when the engine ran with ``stream_stats``;
-    #: ``records`` is empty then and every aggregate below reads from here.
-    #: Percentiles are exact while the run fits the accumulator's exact
-    #: threshold and reservoir estimates beyond it.
-    stats: Optional[ServingStats] = None
+    #: Online accumulators the engine feeds as requests retire; every
+    #: aggregate below reads from here.  A record-keeping run keeps every
+    #: latency, so its percentiles are exact at any size; under
+    #: ``stream_stats`` they are exact up to the accumulator's threshold and
+    #: reservoir estimates beyond it (``records`` is empty then).
+    stats: ServingStats = field(default_factory=ServingStats)
 
     # ------------------------------------------------------------------ #
     @property
     def num_requests(self) -> int:
-        if self.stats is not None and not self.records:
-            return self.stats.num_requests
-        return len(self.records)
+        return self.stats.num_requests
 
     @property
     def num_completed(self) -> int:
-        if self.stats is not None and not self.records:
-            return self.stats.num_completed
-        return sum(1 for record in self.records if record.completed)
+        return self.stats.num_completed
 
     @property
     def num_failed(self) -> int:
-        if self.stats is not None and not self.records:
-            return self.stats.num_failed
-        return sum(1 for record in self.records if record.status == "failed")
+        return self.stats.num_failed
 
     @property
     def num_rejected(self) -> int:
         """Requests shed at arrival by SLO admission control."""
-        if self.stats is not None and not self.records:
-            return self.stats.num_rejected
-        return sum(1 for record in self.records if record.rejected)
+        return self.stats.num_rejected
 
     @property
     def num_retried(self) -> int:
         """Requests that consumed at least one failover retry."""
-        if self.stats is not None and not self.records:
-            return self.stats.num_retried
-        return sum(1 for record in self.records if record.retries > 0)
+        return self.stats.num_retried
 
     @property
     def availability(self) -> float:
@@ -346,15 +338,14 @@ class ServingReport:
 
     @property
     def latencies_s(self) -> List[float]:
-        """Latencies of *completed* requests (failures have no latency).
+        """Latencies of *completed* requests (failures have no latency), in
+        completion order.
 
-        Under ``stream_stats`` this is the accumulator's retained sample —
-        the full stream while the run fits the exact threshold, a seeded
-        reservoir beyond it.
+        This is the accumulator's retained sample: every latency of a
+        record-keeping run, and under ``stream_stats`` the full stream while
+        the run fits the exact threshold, a seeded reservoir beyond it.
         """
-        if self.stats is not None and not self.records:
-            return self.stats.percentiles.sample
-        return [record.latency_s for record in self.records if record.completed]
+        return self.stats.percentiles.sample
 
     @property
     def throughput_rps(self) -> float:
@@ -366,9 +357,7 @@ class ServingReport:
     @property
     def num_met_slo(self) -> int:
         """Requests that completed within their SLO (best-effort = served)."""
-        if self.stats is not None and not self.records:
-            return self.stats.num_met_slo
-        return sum(1 for record in self.records if record.met_slo)
+        return self.stats.num_met_slo
 
     @property
     def goodput_rps(self) -> float:
@@ -393,20 +382,9 @@ class ServingReport:
         self, quantiles: Tuple[float, ...] = (50.0, 95.0, 99.0)
     ) -> Dict[int, Dict[str, float]]:
         """Latency percentiles per priority class (completed requests)."""
-        from repro.experiments.reporting import latency_percentiles
-
-        if self.stats is not None and not self.records:
-            return {
-                cls: estimator.percentiles(quantiles)
-                for cls, estimator in sorted(self.stats.by_class.items())
-            }
-        by_class: Dict[int, List[float]] = {}
-        for record in self.records:
-            if record.completed:
-                by_class.setdefault(record.priority, []).append(record.latency_s)
         return {
-            cls: latency_percentiles(values, quantiles)
-            for cls, values in sorted(by_class.items())
+            cls: estimator.percentiles(quantiles)
+            for cls, estimator in sorted(self.stats.by_class.items())
         }
 
     @property
@@ -423,8 +401,7 @@ class ServingReport:
     ) -> Dict[str, Dict[str, float]]:
         """Latency percentiles per model (completed requests).
 
-        Mixed-model streams only make sense record-by-record, so this reads
-        ``records`` and returns ``{}`` under ``stream_stats``.
+        Reads the record log, so it returns ``{}`` under ``stream_stats``.
         """
         from repro.experiments.reporting import latency_percentiles
 
@@ -448,9 +425,7 @@ class ServingReport:
     @property
     def bytes_to_cloud(self) -> int:
         """Total backbone traffic entering the cloud across all requests."""
-        if self.stats is not None and not self.records:
-            return self.stats.bytes_to_cloud
-        return sum(record.report.bytes_to_cloud for record in self.records)
+        return self.stats.bytes_to_cloud
 
     def latency_percentiles(
         self,
@@ -471,38 +446,15 @@ class ServingReport:
         statistics; ``"nearest"`` is the classic nearest-rank percentile (an
         actually observed latency, preferred by some SLO auditors).
         """
-        from repro.experiments.reporting import latency_percentiles
-
-        if self.stats is not None and not self.records:
-            estimator = (
-                self.stats.retried_percentiles if retried_only else self.stats.percentiles
-            )
-            return estimator.percentiles(quantiles, interpolation=interpolation)
-        values = [
-            record.latency_s
-            for record in self.records
-            if record.completed and (record.retries > 0 or not retried_only)
-        ]
-        if not values:
-            return {f"p{q:g}": 0.0 for q in quantiles}
-        return latency_percentiles(values, quantiles, interpolation=interpolation)
+        estimator = self.stats.retried_percentiles if retried_only else self.stats.percentiles
+        return estimator.percentiles(quantiles, interpolation=interpolation)
 
     @property
     def mean_latency_s(self) -> float:
-        from repro.experiments.reporting import mean
-
-        if self.stats is not None and not self.records:
-            return self.stats.latency.mean
-        values = self.latencies_s
-        return mean(values) if values else 0.0
+        return self.stats.latency.mean
 
     def mean_queueing_delay_s(self) -> Optional[float]:
-        from repro.experiments.reporting import mean
-
-        if self.stats is not None and not self.records:
-            return self.stats.queueing.mean if self.stats.queueing.count else None
-        delays = [r.queueing_delay_s for r in self.records if r.queueing_delay_s is not None]
-        return mean(delays) if delays else None
+        return self.stats.queueing.mean if self.stats.queueing.count else None
 
     @property
     def total_energy_j(self) -> float:
@@ -573,11 +525,7 @@ class ServingReport:
             f"{self.workload_name}: {self.num_requests} requests in "
             f"{self.makespan_s:.2f} s ({self.throughput_rps:.2f} req/s){via}{scheduled}"
         ]
-        if self.stats is not None and not self.records:
-            has_slos = self.stats.has_slos
-        else:
-            has_slos = any(record.slo_ms is not None for record in self.records)
-        if has_slos or self.num_rejected:
+        if self.stats.has_slos or self.num_rejected:
             lines.append(
                 f"  goodput {self.goodput_rps:.2f} req/s, "
                 f"SLO attainment {self.slo_attainment:.1%}, "
@@ -592,16 +540,14 @@ class ServingReport:
                         for cls, pct in per_class.items()
                     )
                 )
-        num_batches = len(self.batches) or sum(
-            count for size, count in self.batch_occupancy.items() if size > 1
-        )
+        num_batches = sum(count for size, count in self.batch_occupancy.items() if size > 1)
         if num_batches:
             lines.append(
                 f"  batching: {num_batches} batches, "
                 f"mean occupancy {self.mean_batch_occupancy:.2f}, "
                 f"largest {max(self.batch_occupancy)}"
             )
-        if self.latencies_s:
+        if self.num_completed:
             pct = self.latency_percentiles()
             lines.append(
                 "  latency p50 {p50:.1f} ms, p95 {p95:.1f} ms, p99 {p99:.1f} ms, "
@@ -616,7 +562,7 @@ class ServingReport:
             if queueing is not None:
                 # Clamp the float-epsilon negatives an idle stream produces.
                 lines.append(f"  mean queueing delay {max(0.0, queueing) * 1e3:.1f} ms")
-        per_model = self.model_percentiles() if self.records else {}
+        per_model = self.model_percentiles()
         if len(per_model) > 1:
             lines.append(
                 "  per-model "
@@ -947,7 +893,8 @@ class _RequestState:
         #: unit structures of finished requests).
         self.done = False
         #: Backbone bytes this request shipped into the cloud, accumulated
-        #: directly under ``stream_stats`` (no transfer objects exist then).
+        #: per transfer in both modes (under ``stream_stats`` no transfer
+        #: objects exist to sum later).
         self.bytes_to_cloud = 0
         #: The shared :class:`_CompiledPlan` of the current attempt.
         self.compiled: Optional[_CompiledPlan] = None
@@ -1135,18 +1082,16 @@ class ServingSimulator:
         bit-identical to the unconstrained engine (the golden traces pin
         this).
     stream_stats:
-        Benchmark mode for huge workloads: per-request timelines and records
-        are not materialized; aggregates stream into online accumulators
+        Benchmark mode for huge workloads: the per-request log (records,
+        timelines and batch records) is not kept.  Every run streams its
+        aggregates into online accumulators
         (:class:`~repro.runtime.accumulators.ServingStats`) as requests
-        reach a terminal state, and finished requests release their stage
-        structures immediately.  :meth:`run` returns an empty record list
-        and :meth:`build_report` produces a report whose aggregates read the
-        accumulators — exact at small N (below ``exact_percentiles``
-        samples the percentile path keeps the raw values), reservoir
-        estimates beyond.  Off by default: the golden traces pin the
-        record-keeping path bit-exactly.
-    exact_percentiles:
-        Sample-count threshold below which streamed percentiles stay exact.
+        reach a terminal state; this switch only bounds them.  With it,
+        :meth:`run` returns an empty record list and percentiles are exact
+        up to :data:`~repro.runtime.accumulators.DEFAULT_EXACT_THRESHOLD`
+        samples and reservoir estimates beyond; without it every sample is
+        kept and percentiles are exact at any size.  Off by default: the
+        golden traces pin the record log bit-exactly.
     """
 
     def __init__(
@@ -1158,7 +1103,6 @@ class ServingSimulator:
         replan: Optional[ReplanCallback] = None,
         scheduler: "Scheduler | str | None" = None,
         stream_stats: bool = False,
-        exact_percentiles: int = DEFAULT_EXACT_THRESHOLD,
         elasticity: Optional[ElasticitySchedule] = None,
         autoscaler: "Autoscaler | str | None" = None,
         balancer: "LoadBalancer | str | None" = None,
@@ -1201,7 +1145,6 @@ class ServingSimulator:
         self._replan = replan
         self.scheduler = resolve_scheduler(scheduler)
         self.stream_stats = stream_stats
-        self.exact_percentiles = exact_percentiles
         # An empty schedule is normalized away so every elastic code path is
         # provably dead on static runs (the golden traces pin this).
         self.elasticity = elasticity if elasticity else None
@@ -1210,26 +1153,43 @@ class ServingSimulator:
         self.balancer: Optional[LoadBalancer] = (
             resolve_balancer(balancer) if (balancer is not None or elastic) else None
         )
-        self.failover_replans = 0
-        #: Events popped off the queue by the last :meth:`run` (the
-        #: benchmark harness's throughput denominator).
-        self.events_processed = 0
-        #: Dispatch-size histogram and multi-member batch log of the last run.
-        self.batch_occupancy: Dict[int, int] = {}
-        self.batches: List[BatchRecord] = []
+
+    # ------------------------------------------------------------------ #
+    # Public API
+    # ------------------------------------------------------------------ #
+    def run(self, requests: List[ServingRequest]) -> List[RequestRecord]:
+        """Simulate all ``requests``; returns one record per request.
+
+        Records come back sorted by request index.  Event/transfer timestamps
+        in the per-request reports are absolute simulation times; each
+        report's ``end_to_end_latency_s`` is relative to its request's
+        arrival.
+
+        Every run accounts its requests into a
+        :class:`~repro.runtime.accumulators.ServingStats` that
+        :meth:`build_report` hands to the report.  Under ``stream_stats`` no
+        records are kept and the returned list is empty.
+        """
+        self.cluster.reset()
         self._events: List[Tuple[float, int, str, object]] = []
         self._sequence = itertools.count()
-        self._nodes: Dict[str, _NodeState] = {}
-        self._states: List[_RequestState] = []
+        self._nodes = {node.name: _NodeState(node) for node in self.cluster.all_nodes}
         #: Non-terminal requests in arrival order — what the admission
-        #: predictor and fault sweeps iterate instead of every state the run
-        #: has ever produced (iteration order matches ``_states`` filtered
-        #: by ``terminal``, so the arithmetic is unchanged).
+        #: predictor and fault sweeps iterate instead of every request the
+        #: run has seen.
         self._live: Dict[_RequestState, None] = {}
         #: Requests that have not reached a terminal state yet.
         self._open = 0
-        #: Online aggregates of the current run under ``stream_stats``.
-        self._stats: Optional[ServingStats] = None
+        #: The record log as ``(request index, record)`` in retirement order
+        #: (``None`` under ``stream_stats``), and the online aggregates every
+        #: run feeds.  A record-keeping run keeps every latency sample, so
+        #: its percentiles stay exact at any size.
+        self._records: Optional[List[Tuple[int, RequestRecord]]] = (
+            None if self.stream_stats else []
+        )
+        self._stats = ServingStats(
+            DEFAULT_EXACT_THRESHOLD if self.stream_stats else math.inf
+        )
         #: Compiled stage templates keyed by the identities of the plan
         #: objects (plus source and the live-node signature); all requests
         #: of a stream share the plan-cache objects, so compilation is paid
@@ -1241,6 +1201,13 @@ class ServingSimulator:
         self._inflight: List[_Inflight] = []
         self._node_down_intervals: Dict[str, List[List[Optional[float]]]] = {}
         self._link_down_intervals: Dict[str, List[List[Optional[float]]]] = {}
+        self.failover_replans = 0
+        #: Events popped off the queue (the benchmark harness's throughput
+        #: denominator).
+        self.events_processed = 0
+        #: Dispatch-size histogram and multi-member batch log.
+        self.batch_occupancy: Dict[int, int] = {}
+        self.batches: List[BatchRecord] = []
         self._default_source: Optional[ComputeNode] = None
         #: Names of nodes currently draining (up, but admitting no new work).
         self._draining: set = set()
@@ -1254,9 +1221,20 @@ class ServingSimulator:
         self._group_names: List[str] = []
         #: Per-node busy-seconds snapshot at the last autoscale tick.
         self._util_prev: Dict[str, float] = {}
+        # Fleet-membership caches: everything below is a pure function of
+        # (down nodes, draining nodes) and membership changes are rare (a
+        # handful per run) while the consumers run per request — so each is
+        # rebuilt lazily and invalidated by ``_membership_changed``.
+        self._membership_rev = 0
+        self._membership_key = None
+        self._members_cache = None
         self._scale_up_count = 0
         self._scale_down_count = 0
-        self._pending_arrivals = 0
+        # Fast-path predicates, resolved once per run: with no fault schedule
+        # nodes can never go down (``reset`` heals everything), a scheduler
+        # that keeps the base queue key lets enqueue build keys inline, and
+        # the plain pop-the-root policies (FIFO/EDF) dispatch without the
+        # select() indirection or flush bookkeeping.
         self._faulty = bool(self.faults)
         self._elastic = self.elasticity is not None or self.autoscaler is not None
         self._downable = self._faulty or self._elastic
@@ -1266,8 +1244,9 @@ class ServingSimulator:
         #: on runs where nothing is currently down, no hash either.
         self._down_live: set = self.cluster.down_nodes_live
         self._grouped = self.balancer is not None
-        self._base_key = type(self.scheduler).queue_key is Scheduler.queue_key
-        self._pop_select = type(self.scheduler).select in (
+        scheduler_type = type(self.scheduler)
+        self._base_key = scheduler_type.queue_key is Scheduler.queue_key
+        self._pop_select = scheduler_type.select in (
             FifoScheduler.select,
             DeadlineScheduler.select,
         )
@@ -1286,79 +1265,6 @@ class ServingSimulator:
         #: calibration-off hot path stays bit-identical (goldens pin it).
         #: The sampling gates are cached so the per-event admission check is
         #: inlined integer arithmetic, not a method call.
-        self._calibrate = self.calibration is not None
-        if self._calibrate:
-            self._cal_task_gate = self.calibration.task_gate
-            self._cal_flow_gate = self.calibration.flow_gate
-            self._cal_request_gate = self.calibration.request_gate
-
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
-    def run(self, requests: List[ServingRequest]) -> List[RequestRecord]:
-        """Simulate all ``requests``; returns one record per request.
-
-        Records come back in arrival order.  Event/transfer timestamps in the
-        per-request reports are absolute simulation times; each report's
-        ``end_to_end_latency_s`` is relative to its request's arrival.
-
-        Under ``stream_stats`` no records are materialized — the run's
-        aggregates stream into :meth:`build_report`'s accumulators instead
-        and the returned list is empty.
-        """
-        self.cluster.reset()
-        self._events = []
-        self._sequence = itertools.count()
-        self._nodes = {node.name: _NodeState(node) for node in self.cluster.all_nodes}
-        self._states = []
-        self._live = {}
-        self._open = 0
-        self._stats = ServingStats(self.exact_percentiles) if self.stream_stats else None
-        self._compiled = {}
-        self._inflight = []
-        self._node_down_intervals = {}
-        self._link_down_intervals = {}
-        self.failover_replans = 0
-        self.events_processed = 0
-        self.batch_occupancy = {}
-        self.batches = []
-        self._default_source = None
-        self._draining = set()
-        self._elastic_down = set()
-        self._provisioning = set()
-        self._group_names = []
-        self._util_prev = {}
-        # Fleet-membership caches: everything below is a pure function of
-        # (down nodes, draining nodes) and membership changes are rare (a
-        # handful per run) while the consumers run per request — so each is
-        # rebuilt lazily and invalidated by ``_membership_changed``.
-        self._membership_rev = 0
-        self._membership_key = None
-        self._members_cache = None
-        self._scale_up_count = 0
-        self._scale_down_count = 0
-        # Fast-path predicates, resolved once per run: with no fault schedule
-        # nodes can never go down (``reset`` heals everything), a scheduler
-        # that keeps the base queue key lets enqueue build keys inline, and
-        # the plain pop-the-root policies (FIFO/EDF) dispatch without the
-        # select() indirection or flush bookkeeping.
-        self._faulty = bool(self.faults)
-        self._elastic = self.elasticity is not None or self.autoscaler is not None
-        self._downable = self._faulty or self._elastic
-        self._down_live = self.cluster.down_nodes_live
-        self._grouped = self.balancer is not None
-        scheduler_type = type(self.scheduler)
-        self._base_key = scheduler_type.queue_key is Scheduler.queue_key
-        self._pop_select = scheduler_type.select in (
-            FifoScheduler.select,
-            DeadlineScheduler.select,
-        )
-        self._memory_on = self.memory is not None
-        self._caches = {}
-        self._loading = {}
-        self._store_node = None
-        self._cold_starts = 0
-        self._cold_start_s = 0.0
         self._calibrate = self.calibration is not None
         if self._calibrate:
             self._cal_task_gate = self.calibration.task_gate
@@ -1437,87 +1343,21 @@ class ServingSimulator:
                 raise RuntimeError(f"unknown event kind {kind!r}")
         self.events_processed = processed
 
-        if self._stats is not None:
-            if self._open:
-                raise RuntimeError(
-                    f"{self._open} requests finished the event loop with "
-                    f"unexecuted stages (dependency deadlock)"
-                )
-            return []
-
-        # Requests are pushed pre-sorted by (arrival, index), so the state
-        # list is already in index order whenever arrival order and index
-        # order agree (every workload constructor guarantees it); re-sort
-        # only on the exotic hand-built stream where they diverge.
-        states = self._states
-        for i in range(1, len(states)):
-            if states[i - 1].request.index > states[i].request.index:
-                states = sorted(states, key=lambda s: s.request.index)
-                break
-        records = []
-        for state in states:
-            request = state.request
-            if state.rejected:
-                records.append(
-                    RequestRecord(
-                        request_id=request.request_id,
-                        model=request.graph.name,
-                        arrival_s=request.arrival_s,
-                        completion_s=request.arrival_s,
-                        report=state.report,
-                        status="rejected",
-                        slo_ms=request.slo_ms,
-                        priority=request.priority,
-                    )
-                )
-                continue
-            if state.failed:
-                state.report.end_to_end_latency_s = state.failed_at_s - request.arrival_s
-                records.append(
-                    RequestRecord(
-                        request_id=request.request_id,
-                        model=request.graph.name,
-                        arrival_s=request.arrival_s,
-                        completion_s=state.failed_at_s,
-                        report=state.report,
-                        status="failed",
-                        retries=state.retries,
-                        slo_ms=request.slo_ms,
-                        priority=request.priority,
-                    )
-                )
-                continue
-            if state.remaining_units:
-                raise RuntimeError(
-                    f"request {request.request_id} finished the event loop "
-                    f"with {state.remaining_units} unexecuted stages (dependency deadlock)"
-                )
-            state.report.end_to_end_latency_s = state.completion_s - request.arrival_s
-            records.append(
-                RequestRecord(
-                    request_id=request.request_id,
-                    model=request.graph.name,
-                    arrival_s=request.arrival_s,
-                    completion_s=state.completion_s,
-                    report=state.report,
-                    retries=state.retries,
-                    slo_ms=request.slo_ms,
-                    priority=request.priority,
-                )
+        if self._open:
+            raise RuntimeError(
+                f"{self._open} requests finished the event loop with "
+                f"unexecuted stages (dependency deadlock)"
             )
-        return records
+        if self._records is None:
+            return []
+        self._records.sort(key=lambda entry: entry[0])
+        return [record for _, record in self._records]
 
     def build_report(self, workload_name: str, records: List[RequestRecord]) -> ServingReport:
-        """Aggregate records plus the cluster's utilisation bookkeeping."""
-        makespan = 0.0
-        start = end = 0.0
-        if records:
-            start = min(record.arrival_s for record in records)
-            end = max(record.completion_s for record in records)
-            makespan = end - start
-        elif self._stats is not None and self._stats.num_requests:
-            start, end = self._stats.makespan_window
-            makespan = end - start
+        """The last run's report: its accumulators and record log ``records``
+        plus the cluster's utilisation bookkeeping."""
+        start, end = self._stats.makespan_window
+        makespan = end - start
         node_down = _clip_downtime(self._node_down_intervals, start, end)
         link_down = _clip_downtime(self._link_down_intervals, start, end)
         compute_j = radio_j = idle_j = cost_usd = 0.0
@@ -1636,9 +1476,7 @@ class ServingSimulator:
     # ------------------------------------------------------------------ #
     def _handle_arrival(self, time_s: float, request: ServingRequest) -> None:
         self._pending_arrivals -= 1
-        state = _RequestState(request, self._resolve_source(request), self._stats is None)
-        if self._stats is None:
-            self._states.append(state)
+        state = _RequestState(request, self._resolve_source(request), self._records is not None)
         self._live[state] = None
         self._open += 1
         if self._downable:
@@ -1680,19 +1518,20 @@ class ServingSimulator:
     def _retire(self, state: _RequestState, status: str, completion_s: float) -> None:
         """Drop a request from the live set the moment it turns terminal.
 
-        Under ``stream_stats`` this is also where the request is *accounted*
-        — its aggregates stream into the accumulators — and where its stage
-        structures are released (a million-request run never holds more than
-        the in-flight window in memory).
+        This is also where the request is *accounted* — its aggregates stream
+        into the accumulators and, unless under ``stream_stats``, its record
+        joins the log — and where its stage structures are released (a
+        million-request run never holds more than the in-flight window in
+        memory).
         """
         if self._live.pop(state, _MISSING) is _MISSING:
             return  # already retired (idempotent by construction)
         self._open -= 1
+        request = state.request
         if self._calibrate and status == "completed" and state.retries == 0:
             gate = self._cal_request_gate
             gate.tick += 1
             if not gate.tick % gate.stride:
-                request = state.request
                 self.calibration.record_request(
                     request.graph.name,
                     completion_s - request.arrival_s,
@@ -1708,23 +1547,43 @@ class ServingSimulator:
             # Every retirement may be the one a graceful drain was waiting
             # on: re-check each draining node for stranded references.
             self._sweep_drains(completion_s)
-        if self._stats is not None:
-            request = state.request
-            self._stats.add(
-                status=status,
-                arrival_s=request.arrival_s,
-                completion_s=completion_s,
-                retries=state.retries,
-                slo_ms=request.slo_ms,
-                priority=request.priority,
-                ideal_latency_s=(
-                    request.ideal_latency_s
-                    if status == "completed" and state.retries == 0
-                    else None
-                ),
-                bytes_to_cloud=state.bytes_to_cloud,
+        # Queueing delay compares a clean run against its own idle baseline;
+        # retried/failed requests are measured by the availability metrics.
+        ideal = (
+            request.ideal_latency_s if status == "completed" and state.retries == 0 else None
+        )
+        self._stats.add(
+            status=status,
+            arrival_s=request.arrival_s,
+            completion_s=completion_s,
+            retries=state.retries,
+            slo_ms=request.slo_ms,
+            priority=request.priority,
+            ideal_latency_s=ideal,
+            bytes_to_cloud=state.bytes_to_cloud,
+        )
+        state.unit_list = []
+        if self._records is not None:
+            report = state.report
+            if status != "rejected":
+                report.end_to_end_latency_s = completion_s - request.arrival_s
+            self._records.append(
+                (
+                    request.index,
+                    RequestRecord(
+                        request_id=request.request_id,
+                        model=request.graph.name,
+                        arrival_s=request.arrival_s,
+                        completion_s=completion_s,
+                        report=report,
+                        ideal_latency_s=ideal,
+                        status=status,
+                        retries=state.retries,
+                        slo_ms=request.slo_ms,
+                        priority=request.priority,
+                    ),
+                )
             )
-            state.unit_list = []
 
     def _predicted_latency_s(self, state: _RequestState, time_s: float) -> float:
         """Admission predictor: idle critical path + compute and wire backlog.
@@ -2175,7 +2034,7 @@ class ServingSimulator:
             sequence = self._sequence
             push = heapq.heappush
             direct = self._pop_select and not self._faulty
-            stream = self._stats is not None
+            stream = self._records is None
             events = self._events
             occupancy = self.batch_occupancy
             for node, duration, label, node_state in tasks:
@@ -2329,7 +2188,7 @@ class ServingSimulator:
             node.available_at = end
             node.busy_seconds += duration
             node_state.busy = True
-            if self._stats is None:
+            if self._records is not None:
                 state = task.unit.state
                 events = state.report.events
                 events.append(
@@ -2361,7 +2220,7 @@ class ServingSimulator:
         start, end = node_state.node.schedule(time_s, duration)
         node_state.busy = True
         members = []
-        if self._stats is None:
+        if self._records is not None:
             for task in tasks:
                 state = task.unit.state
                 label = (
@@ -2387,7 +2246,7 @@ class ServingSimulator:
         node_state.run_id += 1
         node_state.current = (members, end)
         self.batch_occupancy[len(tasks)] = self.batch_occupancy.get(len(tasks), 0) + 1
-        if len(tasks) > 1 and self._stats is None:
+        if len(tasks) > 1 and self._records is not None:
             self.batches.append(
                 BatchRecord(
                     node=node_state.node.name,
@@ -2593,9 +2452,8 @@ class ServingSimulator:
                     request_id=request.request_id,
                 )
             )
-        elif dst_unit.tier == Tier.CLOUD and src_unit.tier != Tier.CLOUD:
-            # Streaming mode: account backbone traffic directly (the exact
-            # predicate of ``TensorTransfer.crosses_backbone``).
+        if dst_unit.tier == Tier.CLOUD and src_unit.tier != Tier.CLOUD:
+            # The exact predicate of ``TensorTransfer.crosses_backbone``.
             state.bytes_to_cloud += payload
         if self.faults:
             link_ids = frozenset(

@@ -59,7 +59,7 @@ GOLDENS_DIR = Path("tests") / "runtime" / "goldens"
 # --------------------------------------------------------------------------- #
 # Canonical scenarios
 # --------------------------------------------------------------------------- #
-def _steady_report() -> ServingReport:
+def _steady_report(stream_stats: bool = False) -> ServingReport:
     from repro.core.d3 import D3Config, D3System
     from repro.runtime.workload import Workload
 
@@ -67,10 +67,10 @@ def _steady_report() -> ServingReport:
         D3Config(network="wifi", num_edge_nodes=4, use_regression=False, profiler_noise_std=0.0)
     )
     workload = Workload.poisson("alexnet", num_requests=24, rate_rps=12.0, seed=11)
-    return system.serve(workload)
+    return system.serve(workload, stream_stats=stream_stats)
 
 
-def _chaos_report() -> ServingReport:
+def _chaos_report(stream_stats: bool = False) -> ServingReport:
     from repro.core.d3 import D3Config, D3System
     from repro.runtime.workload import Workload
 
@@ -78,10 +78,12 @@ def _chaos_report() -> ServingReport:
         D3Config(network="wifi", num_edge_nodes=3, use_regression=False, profiler_noise_std=0.0)
     )
     workload = Workload.poisson("vgg16", num_requests=16, rate_rps=6.0, seed=5)
-    return system.serve(workload, faults="chaos:2", max_retries=2)
+    return system.serve(
+        workload, faults="chaos:2", max_retries=2, stream_stats=stream_stats
+    )
 
 
-def _fleet_report() -> ServingReport:
+def _fleet_report(stream_stats: bool = False) -> ServingReport:
     from repro.core.d3 import D3Config, D3System
     from repro.runtime.workload import Workload
 
@@ -92,10 +94,10 @@ def _fleet_report() -> ServingReport:
     workload = Workload.poisson(
         "alexnet", num_requests=18, rate_rps=9.0, seed=3, sources=sources
     )
-    return system.serve(workload)
+    return system.serve(workload, stream_stats=stream_stats)
 
 
-def _elastic_report() -> ServingReport:
+def _elastic_report(stream_stats: bool = False) -> ServingReport:
     from repro.core.d3 import D3Config, D3System
     from repro.runtime.elasticity import ElasticitySchedule, NodeDrain, NodeJoin
     from repro.runtime.workload import Workload
@@ -112,10 +114,12 @@ def _elastic_report() -> ServingReport:
         name="elastic-golden",
     )
     workload = Workload.poisson("alexnet", num_requests=24, rate_rps=12.0, seed=7)
-    return system.serve(workload, elasticity=schedule, balancer="jsq")
+    return system.serve(
+        workload, elasticity=schedule, balancer="jsq", stream_stats=stream_stats
+    )
 
 
-def _multimodel_report() -> ServingReport:
+def _multimodel_report(stream_stats: bool = False) -> ServingReport:
     from repro.core.d3 import D3Config, D3System
     from repro.runtime.artifacts import MemoryModel
     from repro.runtime.workload import Workload
@@ -130,11 +134,13 @@ def _multimodel_report() -> ServingReport:
         ["vgg16", "alexnet"], num_requests=12, rate_rps=4.0, seed=13
     )
     return system.serve(
-        workload, memory=MemoryModel(budget_gb=0.7, codec="zxc", eviction="lru")
+        workload,
+        memory=MemoryModel(budget_gb=0.7, codec="zxc", eviction="lru"),
+        stream_stats=stream_stats,
     )
 
 
-def _adaptation_report() -> ServingReport:
+def _adaptation_report(stream_stats: bool = False) -> ServingReport:
     from repro.core.d3 import D3Config, D3System
     from repro.network.conditions import BandwidthTrace, get_condition
     from repro.runtime.calibration import CalibrationConfig
@@ -156,11 +162,14 @@ def _adaptation_report() -> ServingReport:
         workload,
         trace=trace,
         calibration=CalibrationConfig(alpha=0.6, trend_beta=0.6, horizon_s=0.8),
+        stream_stats=stream_stats,
     )
 
 
-#: name -> report builder; every entry becomes one committed fixture.
-GOLDEN_SCENARIOS: Dict[str, Callable[[], ServingReport]] = {
+#: name -> report builder; every entry becomes one committed fixture.  Each
+#: builder takes ``stream_stats`` so the same scenario can be served without
+#: its record log.
+GOLDEN_SCENARIOS: Dict[str, Callable[..., ServingReport]] = {
     "steady": _steady_report,
     "chaos": _chaos_report,
     "fleet": _fleet_report,

@@ -1,6 +1,6 @@
 """Streaming accumulators: exactness at small N, tolerance at large N, and
-engine-level determinism of the streaming mode against the record-keeping
-engine on the golden workloads."""
+an engine-level oracle: every report aggregate, in record and stream mode,
+equals a recount of the record log on the golden scenarios."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from repro.runtime.accumulators import (
     StreamingPercentiles,
 )
 from repro.runtime.workload import Workload
+from repro.testing import GOLDEN_SCENARIOS
 
 QUANTILES = (50.0, 95.0, 99.0)
 
@@ -100,7 +101,7 @@ class TestStreamingPercentiles:
 
 
 # --------------------------------------------------------------------------- #
-# Engine determinism: stream_stats vs the record-keeping engine
+# Engine oracle: report aggregates vs a recount of the record log
 # --------------------------------------------------------------------------- #
 def _system(**overrides) -> D3System:
     config = dict(
@@ -112,32 +113,80 @@ def _system(**overrides) -> D3System:
     return D3System(D3Config(**config))
 
 
-#: The golden-trace workloads (steady/chaos pin vgg16 Poisson streams; the
-#: fleet golden is topology-driven) reduced to their serving essentials —
-#: what matters here is that BOTH engines consume the same stream.
-GOLDEN_WORKLOADS = (
-    ("steady", "vgg16", dict(num_requests=40, rate_rps=2.0, seed=7)),
-    ("burst", "alexnet", dict(num_requests=60, rate_rps=20.0, seed=3)),
-)
+def _named_percentiles(values):
+    if not values:
+        return {f"p{q:g}": 0.0 for q in QUANTILES}
+    return latency_percentiles(values, QUANTILES)
+
+
+def _recount(records) -> dict:
+    """Every report aggregate recomputed by scanning the record log."""
+    completed = [r for r in records if r.completed]
+    latencies = [r.latency_s for r in completed]
+    delays = [
+        r.queueing_delay_s
+        for r in completed
+        if r.retries == 0 and r.queueing_delay_s is not None
+    ]
+    by_class = {}
+    for record in completed:
+        by_class.setdefault(record.priority, []).append(record.latency_s)
+    return {
+        "num_requests": len(records),
+        "num_completed": len(completed),
+        "num_failed": sum(1 for r in records if r.status == "failed"),
+        "num_rejected": sum(1 for r in records if r.rejected),
+        "num_retried": sum(1 for r in records if r.retries > 0),
+        "num_met_slo": sum(1 for r in records if r.met_slo),
+        "mean_latency_s": sum(latencies) / len(latencies) if latencies else 0.0,
+        "percentiles": _named_percentiles(latencies),
+        "retried_percentiles": _named_percentiles(
+            [r.latency_s for r in completed if r.retries > 0]
+        ),
+        "class_percentiles": {
+            cls: latency_percentiles(values, QUANTILES)
+            for cls, values in sorted(by_class.items())
+        },
+        "mean_queueing_delay_s": sum(delays) / len(delays) if delays else None,
+        "bytes_to_cloud": sum(r.report.bytes_to_cloud for r in records),
+        "makespan_s": (
+            max(r.completion_s for r in records) - min(r.arrival_s for r in records)
+            if records
+            else 0.0
+        ),
+    }
+
+
+def _aggregates(report) -> dict:
+    """The same aggregates as the report states them."""
+    return {
+        "num_requests": report.num_requests,
+        "num_completed": report.num_completed,
+        "num_failed": report.num_failed,
+        "num_rejected": report.num_rejected,
+        "num_retried": report.num_retried,
+        "num_met_slo": report.num_met_slo,
+        "mean_latency_s": report.mean_latency_s,
+        "percentiles": report.latency_percentiles(QUANTILES),
+        "retried_percentiles": report.latency_percentiles(QUANTILES, retried_only=True),
+        "class_percentiles": report.class_percentiles(QUANTILES),
+        "mean_queueing_delay_s": report.mean_queueing_delay_s(),
+        "bytes_to_cloud": report.bytes_to_cloud,
+        "makespan_s": report.makespan_s,
+    }
 
 
 class TestStreamingEngineDeterminism:
-    @pytest.mark.parametrize("name,model,spec", GOLDEN_WORKLOADS, ids=lambda v: str(v))
-    def test_summaries_identical_on_golden_workloads(self, name, model, spec):
-        """The streaming engine must report the exact aggregate numbers the
-        record-keeping engine computes from its per-request records."""
-        workload = Workload.poisson(model, **spec)
-        full = _system().serve(workload)
-        stream = _system().serve(workload, stream_stats=True)
-        assert stream.num_requests == full.num_requests
-        assert stream.num_completed == full.num_completed
-        assert stream.num_failed == full.num_failed
-        assert stream.num_rejected == full.num_rejected
-        assert stream.mean_latency_s == full.mean_latency_s
-        assert stream.latency_percentiles() == full.latency_percentiles()
-        assert stream.throughput_rps == full.throughput_rps
-        assert stream.bytes_to_cloud == full.bytes_to_cloud
-        assert stream.availability == full.availability
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_summaries_identical_on_golden_workloads(self, name):
+        """Both modes report exactly what a scan of the record log computes."""
+        full = GOLDEN_SCENARIOS[name]()
+        assert full.records
+        reference = _recount(full.records)
+        assert _aggregates(full) == reference
+        stream = GOLDEN_SCENARIOS[name](stream_stats=True)
+        assert stream.records == []
+        assert _aggregates(stream) == reference
 
     def test_streaming_matches_under_schedulers(self):
         workload = Workload.poisson(
@@ -145,19 +194,29 @@ class TestStreamingEngineDeterminism:
         )
         for scheduler in ("fifo", "batch", "edf"):
             full = _system().serve(workload, scheduler=scheduler)
+            reference = _recount(full.records)
+            assert _aggregates(full) == reference, scheduler
             stream = _system().serve(workload, scheduler=scheduler, stream_stats=True)
-            assert stream.num_completed == full.num_completed, scheduler
-            assert stream.num_rejected == full.num_rejected, scheduler
-            assert stream.mean_latency_s == full.mean_latency_s, scheduler
-            assert stream.latency_percentiles() == full.latency_percentiles(), scheduler
+            assert _aggregates(stream) == reference, scheduler
             assert stream.goodput_rps == full.goodput_rps, scheduler
             assert stream.slo_attainment == full.slo_attainment, scheduler
+
+    def test_record_mode_percentiles_exact_past_stream_threshold(self):
+        """The record log keeps every sample, so percentiles stay exact past
+        the point where ``stream_stats`` switches to a reservoir."""
+        workload = Workload.poisson("alexnet", num_requests=4500, rate_rps=12.0, seed=1)
+        full = _system().serve(workload)
+        assert full.num_completed > DEFAULT_EXACT_THRESHOLD
+        reference = _recount(full.records)
+        assert full.latency_percentiles(QUANTILES) == reference["percentiles"]
+        assert full.class_percentiles(QUANTILES) == reference["class_percentiles"]
+        assert full.stats.percentiles.is_exact
 
     def test_streaming_report_has_no_records(self):
         workload = Workload.constant_rate("alexnet", 10, interval_s=0.05)
         report = _system().serve(workload, stream_stats=True)
         assert report.records == []
-        assert report.stats is not None
+        assert report.batches == []
         assert report.stats.num_requests == 10
 
 

@@ -47,6 +47,28 @@ def _timeline(report: ServingReport):
     ]
 
 
+def _healthy_requests(system, workload):
+    """Plan ``workload`` against the healthy deployment, for driving the
+    simulator directly (no replanner)."""
+    reqs = []
+    for request in workload:
+        graph = system.graph_for(request.model)
+        entry = system._plan_for(graph, system.network)
+        reqs.append(
+            ServingRequest(
+                index=request.index,
+                request_id=request.request_id,
+                graph=graph,
+                plan=entry.placement,
+                profile=entry.profile,
+                condition=system.network,
+                arrival_s=request.arrival_s,
+                vsm_plan=entry.vsm_plan,
+            )
+        )
+    return reqs
+
+
 class TestAcceptanceScenario:
     """The ISSUE's acceptance criterion, end to end."""
 
@@ -243,29 +265,10 @@ class TestDegenerateReports:
 class TestStandaloneSimulatorFailover:
     """The engine retries without a replanner by re-resolving onto survivors."""
 
-    def _requests(self, system, workload):
-        reqs = []
-        for request in workload:
-            graph = system.graph_for(request.model)
-            entry = system._plan_for(graph, system.network)
-            reqs.append(
-                ServingRequest(
-                    index=request.index,
-                    request_id=request.request_id,
-                    graph=graph,
-                    plan=entry.placement,
-                    profile=entry.profile,
-                    condition=system.network,
-                    arrival_s=request.arrival_s,
-                    vsm_plan=entry.vsm_plan,
-                )
-            )
-        return reqs
-
     def test_retry_reresolves_to_surviving_edge_nodes(self):
         system = _system()
         workload = Workload.single("vgg16")
-        requests = self._requests(system, workload)
+        requests = _healthy_requests(system, workload)
         schedule = FaultSchedule([NodeDown(0.05, "edge-0"), NodeUp(60.0, "edge-0")])
         simulator = ServingSimulator(system.cluster, faults=schedule)
         records = simulator.run(requests)
@@ -281,7 +284,7 @@ class TestStandaloneSimulatorFailover:
     def test_whole_tier_down_fails_without_replanner(self):
         system = _system(num_edge_nodes=1)
         workload = Workload.single("vgg16")
-        requests = self._requests(system, workload)
+        requests = _healthy_requests(system, workload)
         schedule = FaultSchedule([NodeDown(0.05, "edge-0")])
         simulator = ServingSimulator(system.cluster, faults=schedule, max_retries=2)
         records = simulator.run(requests)
@@ -304,7 +307,7 @@ class TestStandaloneSimulatorFailover:
     def test_truncated_event_keeps_busy_seconds_consistent(self):
         system = _system()
         workload = Workload.single("vgg16")
-        requests = self._requests(system, workload)
+        requests = _healthy_requests(system, workload)
         schedule = FaultSchedule([NodeDown(0.05, "edge-0"), NodeUp(60.0, "edge-0")])
         simulator = ServingSimulator(system.cluster, faults=schedule)
         records = simulator.run(requests)
@@ -316,6 +319,48 @@ class TestStandaloneSimulatorFailover:
             if e.node == "edge-0" and e.kind == "compute"
         )
         assert node.busy_seconds == pytest.approx(event_busy)
+
+
+class TestEqualTimestampOrdering:
+    """At one instant a fault precedes every arrival and task end.
+
+    Each instant is taken from a fault-free timeline, so the fault lands
+    exactly on the event it races.
+    """
+
+    def test_fault_at_task_end_kills_the_task(self):
+        workload = Workload.single("vgg16")
+        healthy = _system().serve(workload).records[0]
+        last = max(
+            (e for e in healthy.report.events if e.kind == "compute"),
+            key=lambda e: e.end_s,
+        )
+        assert last.end_s == healthy.completion_s
+        schedule = FaultSchedule([NodeDown(last.end_s, last.node), NodeUp(60.0, last.node)])
+        report = _system().serve(workload, faults=schedule)
+        record = report.records[0]
+        # The node died before the task's completion was confirmed: the
+        # attempt is discarded and the request finishes on a retry.
+        assert record.completed
+        assert record.retries == 1
+        assert report.failover_replans == 1
+        assert record.completion_s > healthy.completion_s
+
+    def test_arrival_at_fault_instant_sees_node_down(self):
+        system = _system()
+        workload = Workload.constant_rate("vgg16", num_requests=2, interval_s=1.0)
+        requests = _healthy_requests(system, workload)
+        healthy = ServingSimulator(system.cluster).run(requests)[1]
+        assert "edge-0" in {e.node for e in healthy.report.events}
+        schedule = FaultSchedule(
+            [NodeDown(healthy.arrival_s, "edge-0"), NodeUp(60.0, "edge-0")]
+        )
+        record = ServingSimulator(system.cluster, faults=schedule).run(requests)[1]
+        # The request was resolved onto the surviving rack at arrival rather
+        # than started on edge-0 and aborted by the same-instant fault.
+        assert record.completed
+        assert record.retries == 0
+        assert "edge-0" not in {e.node for e in record.report.events}
 
 
 class TestAvailabilityHarness:
